@@ -18,7 +18,10 @@ import (
 // benchBlockChurn drives steady-state block churn — Drop+Put pairs with
 // a periodic explicit checkpoint — against a block store. The durable
 // lane pays a WAL append per placement and an arena sync + group-fsync
-// per checkpoint; the heap lane pays only the memmoves.
+// per checkpoint; the heap lane pays only the memmoves. Checkpoints per
+// op (forced plus explicit) are reported as ckpt/op: the paper's
+// expensive event. Both lanes replay the same stream, so their ckpt/op
+// differ only by where each lane's b.N cuts it.
 func benchBlockChurn(b *testing.B, s *realloc.BlockStore) {
 	const live = 256
 	const ckptEvery = 128
@@ -48,6 +51,7 @@ func benchBlockChurn(b *testing.B, s *realloc.BlockStore) {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
+	ckpt0 := s.Checkpoints()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j := rng.IntN(len(names))
@@ -66,6 +70,7 @@ func benchBlockChurn(b *testing.B, s *realloc.BlockStore) {
 			}
 		}
 	}
+	b.ReportMetric(float64(s.Checkpoints()-ckpt0)/float64(b.N), "ckpt/op")
 }
 
 // BenchmarkDurableChurn prices durability: identical block churn on the

@@ -58,7 +58,8 @@
 // group-fsync per checkpoint) must stay within -maxDurableOverhead
 // (default 40) of the heap lane over identical churn, and one full WAL
 // replay of the 1e5-record log (BenchmarkWALReplay/ops=100000) must
-// finish within -maxReplayMs (default 500):
+// finish within -maxReplayMs (default 500). Each lane's checkpoints per
+// op (its ckpt/op metric) go into the record beside its ns/op:
 //
 //	go test -run '^$' -bench 'BenchmarkDurableChurn|BenchmarkWALReplay' \
 //	    -benchtime 1s . | \
@@ -435,9 +436,10 @@ func runBytes(results []benchfmt.Result, family string, maxRatio float64, out st
 // heap lane (in-memory arena, real memmoves) and a wal lane (the same
 // churn in durable mode — WAL appends per placement, arena sync plus
 // group-fsync per checkpoint); their ns/op ratio must stay within
-// maxRatio. The replay result is one full wal.Open rebuild of a
-// 1e5-record log and must finish within maxReplayMs. Either half
-// missing fails the gate.
+// maxRatio, and each lane's ckpt/op metric is recorded beside its
+// ns/op. The replay result is one full wal.Open rebuild of a
+// 1e5-record log and must finish within maxReplayMs. Either half, or a
+// lane's ckpt/op, missing fails the gate.
 func runDurable(results []benchfmt.Result, family, replay string, maxRatio, maxReplayMs float64, out string) int {
 	findings := map[string]float64{}
 	bad := false
@@ -451,6 +453,15 @@ func runDurable(results []benchfmt.Result, family, replay string, maxRatio, maxR
 		ratio := walNs / heapNs
 		findings["churn/ns_per_op_heap"] = heapNs
 		findings["churn/ns_per_op_wal"] = walNs
+		for _, lane := range []string{"heap", "wal"} {
+			v, err := benchfmt.Metric(results, family+"/"+lane, "ckpt/op")
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
+				bad = true
+				continue
+			}
+			findings["churn/ckpt_per_op_"+lane] = v
+		}
 		findings["churn/durable_ratio"] = ratio
 		findings["churn/durable_limit"] = maxRatio
 		status := "ok"

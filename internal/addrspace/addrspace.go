@@ -67,9 +67,10 @@ type Options struct {
 	// CheckpointRule forbids writing into space freed since the last
 	// checkpoint (Section 3.1). Such writes fail with ErrWouldBlock.
 	CheckpointRule bool
-	// TrackCells maintains a per-cell record of which object's data each
-	// cell holds, including stale copies left by moves. Needed only by
-	// data-integrity and crash-recovery tests; costs O(max address) memory.
+	// TrackCells maintains a record of which object's data each cell
+	// holds, including stale copies left by moves, as run-length owner
+	// runs. Needed by data-integrity and crash-recovery checks (the block
+	// store); costs O(runs) memory and O(log n + runs touched) per write.
 	TrackCells bool
 	// Data is the payload backend relocations write through: every
 	// applied move memmoves the object's bytes (or, for the metered
@@ -105,8 +106,6 @@ type Space struct {
 
 	freed intervalSet // space freed since last checkpoint (CheckpointRule)
 
-	cells []ID // cell-level data residue, if TrackCells
-
 	batch   *batchState  // reusable move-plan scratch, allocated on first use
 	session *MoveSession // active resumable move session, if any
 
@@ -115,6 +114,8 @@ type Space struct {
 	blockedWrites int64 // writes that observed ErrWouldBlock
 	moves         int64
 	places        int64
+
+	cells cellRuns // cell-level data residue, if TrackCells
 }
 
 // New creates an empty Space with the given rules.
@@ -243,19 +244,13 @@ func (s *Space) relocatePlacement(id ID, old, ext Extent) {
 	s.byStart.insert(placement{id: id, ext: ext})
 }
 
-// stampCells writes id into every cell of ext (cell-tracking mode).
+// stampCells records id as the owner of every cell of ext (cell-tracking
+// mode). The disabled case is a single inlined branch.
 func (s *Space) stampCells(ext Extent, id ID) {
 	if !s.opts.TrackCells {
 		return
 	}
-	if need := ext.End(); int64(len(s.cells)) < need {
-		grown := make([]ID, need+need/2)
-		copy(grown, s.cells)
-		s.cells = grown
-	}
-	for i := ext.Start; i < ext.End(); i++ {
-		s.cells[i] = id
-	}
+	s.cells.assign(ext, id)
 }
 
 // Place writes a new object at ext. It is the initial allocation; the
@@ -354,10 +349,7 @@ func (s *Space) FreedVolume() int64 { return s.freed.volume() }
 // CellOwner returns which object's data cell addr currently holds (ghost
 // copies included), or 0 for never-written cells. Requires TrackCells.
 func (s *Space) CellOwner(addr int64) ID {
-	if addr < 0 || addr >= int64(len(s.cells)) {
-		return 0
-	}
-	return s.cells[addr]
+	return s.cells.owner(addr)
 }
 
 // HoldsData reports whether every cell of ext holds id's data (live or
@@ -366,15 +358,7 @@ func (s *Space) HoldsData(id ID, ext Extent) bool {
 	if !s.opts.TrackCells {
 		return false
 	}
-	if ext.End() > int64(len(s.cells)) {
-		return false
-	}
-	for i := ext.Start; i < ext.End(); i++ {
-		if s.cells[i] != id {
-			return false
-		}
-	}
-	return true
+	return s.cells.holds(id, ext)
 }
 
 // Verify exhaustively re-checks structural invariants: sortedness,
@@ -420,6 +404,9 @@ func (s *Space) Verify() error {
 	}
 	if vol != s.volume {
 		return fmt.Errorf("addrspace: volume accounting: tracked %d, actual %d", s.volume, vol)
+	}
+	if err := s.cells.verify(); err != nil {
+		return err
 	}
 	return s.freed.verify()
 }

@@ -247,7 +247,7 @@ func (ms *MoveSession) advanceBatched(budget int64) (consumed int, volume int64,
 // applyOne executes a single validated relocation with an incremental
 // index splice, evolving the Space exactly as Move would: transparent
 // checkpoint blocking, freed-set growth, cell stamps, counters, and an
-// eagerly synced object map.
+// eagerly synced object map (written after the emit).
 func (s *Space) applyOne(mv Relocation, oldStart, size int64, emit func(MoveResult)) error {
 	old := Extent{Start: oldStart, Size: size}
 	target := Extent{Start: mv.To, Size: size}
@@ -279,7 +279,6 @@ func (s *Space) applyOne(mv Relocation, oldStart, size int64, emit func(MoveResu
 		}
 	}
 	s.byStart.insert(placement{id: mv.ID, ext: target})
-	s.objects[mv.ID] = target
 	s.stampCells(target, mv.ID)
 	if s.opts.CheckpointRule {
 		var pieces [2]Extent
@@ -300,6 +299,11 @@ func (s *Space) applyOne(mv Relocation, oldStart, size int64, emit func(MoveResu
 			Footprint: s.MaxEnd(), PreFootprint: pre, Checkpointed: checkpointed,
 		})
 	}
+	// The object map follows the emit for the same reason: an observer
+	// of the checkpoint event reads positions from it, and must see the
+	// mover at its source, where its bytes still are — as Move and the
+	// bulk executor show it.
+	s.objects[mv.ID] = target
 	if s.data != nil {
 		s.data.Copy(target.Start, oldStart, size)
 	}

@@ -75,6 +75,9 @@ type Result struct {
 	NsPerOp     float64
 	BytesPerOp  float64 // -1 when the line carries no -benchmem columns
 	AllocsPerOp float64 // -1 when the line carries no -benchmem columns
+	// Metrics holds the b.ReportMetric columns by unit (e.g. "ckpt/op");
+	// nil when the line carries none.
+	Metrics map[string]float64
 }
 
 // ParseBench extracts benchmark result lines ("BenchmarkX-8 N ns/op ...")
@@ -112,6 +115,11 @@ func ParseBench(r io.Reader) ([]Result, error) {
 				res.BytesPerOp = v
 			case "allocs/op":
 				res.AllocsPerOp = v
+			default:
+				if res.Metrics == nil {
+					res.Metrics = map[string]float64{}
+				}
+				res.Metrics[fields[i+1]] = v
 			}
 		}
 		out = append(out, res)
@@ -144,6 +152,19 @@ func NsPerOp(results []Result, name string) (float64, error) {
 	for _, r := range results {
 		if r.Name == name {
 			return r.NsPerOp, nil
+		}
+	}
+	return 0, fmt.Errorf("benchfmt: no result named %q", name)
+}
+
+// Metric finds the custom metric with the given unit on result name.
+func Metric(results []Result, name, unit string) (float64, error) {
+	for _, r := range results {
+		if r.Name == name {
+			if v, ok := r.Metrics[unit]; ok {
+				return v, nil
+			}
+			return 0, fmt.Errorf("benchfmt: %q reports no %s", name, unit)
 		}
 	}
 	return 0, fmt.Errorf("benchfmt: no result named %q", name)

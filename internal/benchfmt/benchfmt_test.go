@@ -12,6 +12,7 @@ cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
 BenchmarkChurnScaling/amortized/cells=100000         	   20000	      1719 ns/op	      11 B/op	       0 allocs/op
 BenchmarkChurnScaling/amortized/cells=1000000-8      	   20000	      2823 ns/op	       8 B/op	       0 allocs/op
 BenchmarkChurnScaling/deamortized/cells=1000000-16   	   20000	      4158.5 ns/op
+BenchmarkDurableChurn/heap-2   	   20000	     36000 ns/op	         0.02300 ckpt/op	    1500 B/op	      12 allocs/op
 some unrelated line
 BenchmarkNot-A-Result garbage
 PASS
@@ -22,8 +23,8 @@ func TestParseBench(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 3 {
-		t.Fatalf("parsed %d results, want 3: %+v", len(results), results)
+	if len(results) != 4 {
+		t.Fatalf("parsed %d results, want 4: %+v", len(results), results)
 	}
 	r := results[0]
 	if r.Name != "BenchmarkChurnScaling/amortized/cells=100000" || r.Iters != 20000 ||
@@ -37,8 +38,21 @@ func TestParseBench(t *testing.T) {
 	if results[2].Name != "BenchmarkChurnScaling/deamortized/cells=1000000" {
 		t.Fatalf("result 2 name: %q", results[2].Name)
 	}
-	if results[2].BytesPerOp != -1 || results[2].AllocsPerOp != -1 {
-		t.Fatalf("result 2 should have no -benchmem columns: %+v", results[2])
+	if results[2].BytesPerOp != -1 || results[2].AllocsPerOp != -1 || results[2].Metrics != nil {
+		t.Fatalf("result 2 should have no -benchmem or custom columns: %+v", results[2])
+	}
+	// b.ReportMetric columns parse by unit beside the -benchmem ones.
+	if r := results[3]; r.BytesPerOp != 1500 || r.AllocsPerOp != 12 {
+		t.Fatalf("result 3 -benchmem columns: %+v", r)
+	}
+	if v, err := Metric(results, "BenchmarkDurableChurn/heap", "ckpt/op"); err != nil || v != 0.023 {
+		t.Fatalf("Metric ckpt/op: %v %v", v, err)
+	}
+	if _, err := Metric(results, "BenchmarkDurableChurn/heap", "fsync/op"); err == nil {
+		t.Fatal("absent metric found")
+	}
+	if _, err := Metric(results, "BenchmarkMissing", "ckpt/op"); err == nil {
+		t.Fatal("metric of a missing benchmark found")
 	}
 	if ns, err := NsPerOp(results, "BenchmarkChurnScaling/deamortized/cells=1000000"); err != nil || ns != 4158.5 {
 		t.Fatalf("NsPerOp: %v %v", ns, err)

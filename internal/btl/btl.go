@@ -11,18 +11,21 @@
 // crash with the last durable map always finds intact data.
 //
 // The store runs in one of two modes. The default is in-memory: the
-// durable map is a shadow snapshot and Crash/Recover simulate failure
-// without touching media. Durable mode (Config.Dir or Config.FS, see
-// durable.go) writes real media — a file-backed payload arena synced at
-// checkpoints plus a write-ahead log of every placement — and Recover
-// replays the log and verifies the surviving arena bytes instead of
-// reading any in-memory state.
+// durable map is a shadow table, brought up to date at every checkpoint
+// by folding in only the blocks that changed since the previous one, and
+// Crash/Recover simulate failure without touching media. Durable mode
+// (Config.Dir or Config.FS, see durable.go) writes real media — a
+// file-backed payload arena synced at checkpoints plus a write-ahead log
+// of every placement — keeps no shadow table, and Recover replays the
+// log and verifies the surviving arena bytes instead of reading any
+// in-memory state.
 package btl
 
 import (
 	"errors"
 	"fmt"
 	"hash/crc64"
+	"slices"
 
 	"realloc/internal/addrspace"
 	"realloc/internal/arena"
@@ -62,10 +65,16 @@ type Store struct {
 	sums    map[addrspace.ID]uint64
 	backend arena.Kind
 
-	// durable is the translation map as of the last checkpoint: what a
-	// recovery would read back from disk. In durable mode it is kept for
-	// introspection, but Recover reads the real media instead.
-	durable map[string]blockMeta
+	// durable is the translation map as of the last checkpoint, keyed by
+	// block id: what an in-memory recovery reads back. dirty lists the
+	// ids whose entry may have changed since then — every id whose
+	// placement (the hook's insert, move and delete events), name binding
+	// or checksum changed — and the checkpoint folds only those, so a
+	// checkpoint costs what changed, not what the store holds. Durable
+	// mode keeps neither (both nil): the WAL is its durable map, and
+	// Recover reads the real media.
+	durable map[addrspace.ID]blockMeta
+	dirty   []addrspace.ID
 
 	crashed bool
 
@@ -99,8 +108,8 @@ type Store struct {
 
 // blockMeta is one durable map entry.
 type blockMeta struct {
-	id  addrspace.ID
-	ext addrspace.Extent
+	name string
+	ext  addrspace.Extent
 	// sum is the payload checksum recorded at Put; hasSum distinguishes
 	// a real zero checksum from "no payload stored".
 	sum    uint64
@@ -157,7 +166,10 @@ func (h *ckptHook) Record(e trace.Event) {
 			s.logWAL(wal.Record{Kind: wal.KDelete, ID: uint64(e.ID)})
 		}
 	}
-	if e.Kind == trace.KCheckpoint {
+	switch e.Kind {
+	case trace.KInsert, trace.KMove, trace.KDelete:
+		h.store.touch(addrspace.ID(e.ID))
+	case trace.KCheckpoint:
 		h.store.snapshot()
 	}
 	if h.next != nil {
@@ -196,7 +208,6 @@ func newShell(cfg Config) (*Store, error) {
 	s := &Store{
 		byName:  make(map[string]addrspace.ID),
 		names:   make(map[addrspace.ID]string),
-		durable: make(map[string]blockMeta),
 		sums:    make(map[addrspace.ID]uint64),
 		nextID:  1,
 		backend: cfg.Backend,
@@ -216,6 +227,8 @@ func newShell(cfg Config) (*Store, error) {
 		s.fs = faultfs.OS{Dir: cfg.Dir}
 		s.dir = cfg.Dir
 		s.backend = arena.File
+	} else {
+		s.durable = make(map[addrspace.ID]blockMeta)
 	}
 	return s, nil
 }
@@ -272,6 +285,7 @@ func (s *Store) Reserve(name string, size int64) error {
 	}
 	s.byName[name] = id
 	s.names[id] = name
+	s.touch(id)
 	return s.opErr()
 }
 
@@ -309,6 +323,7 @@ func (s *Store) Put(name string, data []byte) error {
 	}
 	sum := crc64.Checksum(data, crcTable)
 	s.sums[id] = sum
+	s.touch(id)
 	// The checksum is logged only now, after the payload hit the arena:
 	// a checkpoint forced during the insert above snapshots the block as
 	// placed-but-unverified, which is exactly what the arena holds.
@@ -328,12 +343,13 @@ func (s *Store) Get(name string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	ext, _ := s.realloc.Extent(id)
-	out := make([]byte, ext.Size)
-	if _, err := s.realloc.Read(id, out); err != nil {
-		return nil, err
+	// One object lookup: the live slice is copied out before anything
+	// can move the block.
+	raw, ok := s.realloc.Bytes(id)
+	if !ok {
+		return nil, addrspace.ErrNoData
 	}
-	return out, nil
+	return append([]byte(nil), raw...), nil
 }
 
 // Update rewrites block name at a new size, as a database does when a
@@ -360,6 +376,8 @@ func (s *Store) Update(name string, size int64) error {
 	s.names[nid] = name
 	delete(s.names, id)
 	delete(s.sums, id)
+	s.touch(nid)
+	s.touch(id)
 	if err := s.realloc.Delete(id); err != nil {
 		return err
 	}
@@ -381,6 +399,7 @@ func (s *Store) Drop(name string) error {
 	delete(s.byName, name)
 	delete(s.names, id)
 	delete(s.sums, id)
+	s.touch(id)
 	return s.opErr()
 }
 
@@ -409,7 +428,9 @@ func (s *Store) Checkpoint() {
 }
 
 // snapshot captures the durable translation map at a checkpoint instant.
-// In durable mode it also runs the media protocol, in this exact order:
+// In-memory mode folds the dirty ids into the shadow table; durable mode
+// keeps no table and runs the media protocol instead, in this exact
+// order:
 //
 //  1. arena sync — every checkpointed extent's bytes become durable;
 //  2. checkpoint record appended to the WAL;
@@ -423,17 +444,7 @@ func (s *Store) Checkpoint() {
 // N+1 instant (even a torn prefix of one) still verifies at N.
 func (s *Store) snapshot() {
 	s.checkpoints++
-	durable := make(map[string]blockMeta, len(s.byName))
-	for name, id := range s.byName {
-		if ext, ok := s.realloc.Extent(id); ok {
-			meta := blockMeta{id: id, ext: ext}
-			if sum, ok := s.sums[id]; ok {
-				meta.sum, meta.hasSum = sum, true
-			}
-			durable[name] = meta
-		}
-	}
-	s.durable = durable
+	s.fold()
 	if s.w == nil || s.ioErr != nil || s.rebuilding {
 		return
 	}
@@ -449,6 +460,35 @@ func (s *Store) snapshot() {
 	if err := s.w.Sync(); err != nil {
 		s.ioErr = err
 	}
+}
+
+// touch marks id's durable entry as possibly stale (in-memory mode).
+func (s *Store) touch(id addrspace.ID) {
+	if s.durable != nil {
+		s.dirty = append(s.dirty, id)
+	}
+}
+
+// fold brings the durable table up to the current instant. Each dirty id
+// is re-read from the same sources a full rebuild reads — its name
+// binding, its extent and its checksum — so the table afterwards holds
+// exactly the named, placed blocks; an id listed twice is re-read
+// twice, harmlessly.
+func (s *Store) fold() {
+	for _, id := range s.dirty {
+		name, named := s.names[id]
+		ext, placed := s.realloc.Extent(id)
+		if !named || !placed {
+			delete(s.durable, id)
+			continue
+		}
+		meta := blockMeta{name: name, ext: ext}
+		if sum, ok := s.sums[id]; ok {
+			meta.sum, meta.hasSum = sum, true
+		}
+		s.durable[id] = meta
+	}
+	s.dirty = s.dirty[:0]
 }
 
 // logWAL appends one record to the group buffer, latching any failure
@@ -506,10 +546,19 @@ func (s *Store) Recover() (RecoveryReport, error) {
 		return s.recoverFromMedia()
 	}
 	var rep RecoveryReport
+	// Detach the survivors: checkpoints forced while they are re-inserted
+	// fold into a fresh table.
+	survivors := s.durable
+	ids := make([]addrspace.ID, 0, len(survivors))
+	for id := range survivors {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
 	old := s.realloc.Space()
-	for name, meta := range s.durable {
-		if !old.HoldsData(meta.id, meta.ext) {
-			rep.Corrupt = append(rep.Corrupt, name)
+	for _, id := range ids {
+		meta := survivors[id]
+		if !old.HoldsData(id, meta.ext) {
+			rep.Corrupt = append(rep.Corrupt, meta.name)
 			continue
 		}
 		// The physical check: the bytes at the durable extent of the
@@ -518,7 +567,7 @@ func (s *Store) Recover() (RecoveryReport, error) {
 		if meta.hasSum && old.HasData() {
 			raw := old.Data().Bytes(meta.ext.Start, meta.ext.Size)
 			if crc64.Checksum(raw, crcTable) != meta.sum {
-				rep.Corrupt = append(rep.Corrupt, name)
+				rep.Corrupt = append(rep.Corrupt, meta.name)
 			}
 		}
 	}
@@ -528,27 +577,24 @@ func (s *Store) Recover() (RecoveryReport, error) {
 	// Reload the surviving blocks into a fresh reallocator (the database
 	// rewrites them as it warms up). The fresh core gets its own arena —
 	// re-inserting into the crashed one would overwrite durable data
-	// before it is read back.
+	// before it is read back — and is attached before the first insert,
+	// so a checkpoint forced mid-rebuild reads the new core's extents.
 	oldArena := s.data
 	data, err := arena.New(s.backend)
 	if err != nil {
 		return rep, err
 	}
-	fresh, err := core.New(core.Config{
-		Epsilon:    s.realloc.Epsilon(),
-		Variant:    s.variant,
-		Recorder:   &ckptHook{store: s, next: s.tap},
-		TrackCells: true,
-		Arena:      data,
-	})
-	if err != nil {
+	if err := s.attachCore(data); err != nil {
 		return rep, err
 	}
-	s.byName = make(map[string]addrspace.ID, len(s.durable))
-	s.names = make(map[addrspace.ID]string, len(s.durable))
-	sums := make(map[addrspace.ID]uint64, len(s.durable))
-	for name, meta := range s.durable {
-		if err := fresh.Insert(meta.id, meta.ext.Size); err != nil {
+	s.byName = make(map[string]addrspace.ID, len(survivors))
+	s.names = make(map[addrspace.ID]string, len(survivors))
+	s.sums = make(map[addrspace.ID]uint64, len(survivors))
+	s.durable = make(map[addrspace.ID]blockMeta, len(survivors))
+	s.dirty = s.dirty[:0]
+	for _, id := range ids {
+		meta := survivors[id]
+		if err := s.realloc.Insert(id, meta.ext.Size); err != nil {
 			return rep, err
 		}
 		if meta.hasSum && old.HasData() {
@@ -556,21 +602,19 @@ func (s *Store) Recover() (RecoveryReport, error) {
 			// durable address, write at wherever the fresh core placed the
 			// block. Later flushes keep it attached to the block.
 			raw := old.Data().Bytes(meta.ext.Start, meta.ext.Size)
-			if err := fresh.Write(meta.id, raw); err != nil {
+			if err := s.realloc.Write(id, raw); err != nil {
 				return rep, err
 			}
-			sums[meta.id] = meta.sum
+			s.sums[id] = meta.sum
 		}
-		s.byName[name] = meta.id
-		s.names[meta.id] = name
+		s.byName[meta.name] = id
+		s.names[id] = meta.name
+		s.touch(id)
 		rep.Recovered++
-		if meta.id >= s.nextID {
-			s.nextID = meta.id + 1
+		if id >= s.nextID {
+			s.nextID = id + 1
 		}
 	}
-	s.realloc = fresh
-	s.data = data
-	s.sums = sums
 	s.crashed = false
 	s.recoveries++
 	s.snapshot()

@@ -58,8 +58,11 @@ type Config struct {
 	Variant Variant
 	// Recorder receives the event stream; nil means trace.Null.
 	Recorder trace.Recorder
-	// TrackCells enables per-cell data stamps in the substrate (needed by
-	// data-integrity and crash-recovery tests).
+	// TrackCells makes the substrate record which object's data each
+	// cell holds, ghost copies included, as run-length owner runs (needed
+	// by the block store's crash-recovery audit and by data-integrity
+	// tests). It costs O(runs) memory and O(log n + runs touched) per
+	// placement or move.
 	TrackCells bool
 	// Paranoid re-validates every structural invariant after each request
 	// and makes violations return errors. Tests set it; benchmarks don't.

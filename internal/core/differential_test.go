@@ -166,3 +166,76 @@ func compareDiffState(t *testing.T, variant Variant, seed uint64, a, b *Realloca
 		}
 	}
 }
+
+// ckptTables records, at every checkpoint event, the extent every object
+// id has at that instant: the translation table a durability hook would
+// write (the block store's snapshot reads exactly this).
+type ckptTables struct {
+	r      *Reallocator
+	maxID  ID
+	tables [][]addrspace.Extent
+}
+
+func (c *ckptTables) Record(e trace.Event) {
+	if e.Kind != trace.KCheckpoint {
+		return
+	}
+	tab := make([]addrspace.Extent, c.maxID+1)
+	for id := ID(1); id <= c.maxID; id++ {
+		tab[id], _ = c.r.Extent(id)
+	}
+	c.tables = append(c.tables, tab)
+}
+
+// TestCheckpointTablesAgreeAcrossPaths pins what a checkpoint observer
+// sees of object positions: every executor must show an object that is
+// about to make a blocking move at its source, where its bytes still are.
+// Identical workloads through the per-move reference path (SerialFlush),
+// the bulk executor (the atomic Checkpointed flush) and the chunked
+// session (the Deamortized flush) must produce identical tables at every
+// checkpoint.
+func TestCheckpointTablesAgreeAcrossPaths(t *testing.T) {
+	for _, variant := range []Variant{Checkpointed, Deamortized} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			ops := diffWorkload(seed, 2000, 1500)
+			var maxID ID
+			for _, op := range ops {
+				maxID = max(maxID, op.id)
+			}
+			run := func(serial bool) *ckptTables {
+				rec := &ckptTables{maxID: maxID}
+				rec.r = MustNew(Config{
+					Epsilon: 0.25, Variant: variant, Recorder: rec,
+					TrackCells: true, SerialFlush: serial,
+				})
+				for _, op := range ops {
+					var err error
+					if op.insert {
+						err = rec.r.Insert(op.id, op.size)
+					} else {
+						err = rec.r.Delete(op.id)
+					}
+					if err != nil {
+						t.Fatalf("%s serial=%v: op %+v: %v", variant, serial, op, err)
+					}
+				}
+				return rec
+			}
+			serial, batched := run(true), run(false)
+			if len(serial.tables) == 0 {
+				t.Fatalf("%s seed %d: workload took no checkpoints", variant, seed)
+			}
+			if len(serial.tables) != len(batched.tables) {
+				t.Fatalf("%s seed %d: %d checkpoints serial vs %d batched", variant, seed, len(serial.tables), len(batched.tables))
+			}
+			for k := range serial.tables {
+				for id := range serial.tables[k] {
+					if a, b := serial.tables[k][id], batched.tables[k][id]; a != b {
+						t.Fatalf("%s seed %d: checkpoint %d: object %d at %v serial, %v batched",
+							variant, seed, k, id, a, b)
+					}
+				}
+			}
+		}
+	}
+}

@@ -190,7 +190,8 @@ type Config struct {
 	EpsPrime float64
 	// Recorder receives the event stream; nil means trace.Null.
 	Recorder trace.Recorder
-	// TrackCells enables per-cell data stamps in the substrate.
+	// TrackCells enables the substrate's per-cell data residue
+	// (run-length owner runs; see addrspace.Options.TrackCells).
 	TrackCells bool
 	// Paranoid re-validates every structural invariant after each request.
 	Paranoid bool

@@ -59,7 +59,8 @@ type Config struct {
 	Epsilon float64
 	// Recorder receives the event stream; nil means trace.Null.
 	Recorder trace.Recorder
-	// TrackCells enables per-cell data stamps in the substrate.
+	// TrackCells enables the substrate's per-cell data residue
+	// (run-length owner runs; see addrspace.Options.TrackCells).
 	TrackCells bool
 	// Paranoid re-validates every invariant after each request.
 	Paranoid bool
