@@ -12,6 +12,7 @@ import (
 
 	"realloc"
 	"realloc/internal/faultfs"
+	"realloc/internal/telemetry"
 	"realloc/internal/wal"
 )
 
@@ -21,8 +22,10 @@ import (
 // per checkpoint; the heap lane pays only the memmoves. Checkpoints per
 // op (forced plus explicit) are reported as ckpt/op: the paper's
 // expensive event. Both lanes replay the same stream, so their ckpt/op
-// differ only by where each lane's b.N cuts it.
-func benchBlockChurn(b *testing.B, s *realloc.BlockStore) {
+// differ only by where each lane's b.N cuts it. WAL group-fsyncs per op
+// (each paired with one arena fsync) are reported as fsync/op, from the
+// store's telemetry; the heap lane has no WAL and reports 0.
+func benchBlockChurn(b *testing.B, s *realloc.BlockStore, reg *telemetry.Registry) {
 	const live = 256
 	const ckptEvery = 128
 	payload := make([]byte, 128)
@@ -52,6 +55,7 @@ func benchBlockChurn(b *testing.B, s *realloc.BlockStore) {
 	}
 	b.ReportAllocs()
 	ckpt0 := s.Checkpoints()
+	fsync0 := reg.Snapshot().WALFsync.Count
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j := rng.IntN(len(names))
@@ -71,6 +75,7 @@ func benchBlockChurn(b *testing.B, s *realloc.BlockStore) {
 		}
 	}
 	b.ReportMetric(float64(s.Checkpoints()-ckpt0)/float64(b.N), "ckpt/op")
+	b.ReportMetric(float64(reg.Snapshot().WALFsync.Count-fsync0)/float64(b.N), "fsync/op")
 }
 
 // BenchmarkDurableChurn prices durability: identical block churn on the
@@ -81,19 +86,21 @@ func benchBlockChurn(b *testing.B, s *realloc.BlockStore) {
 // beyond its bound.
 func BenchmarkDurableChurn(b *testing.B) {
 	b.Run("heap", func(b *testing.B) {
-		s, err := realloc.NewBlockStore(realloc.BlockStoreBackend(realloc.HeapArena))
+		reg := telemetry.NewRegistry()
+		s, err := realloc.NewBlockStore(realloc.BlockStoreBackend(realloc.HeapArena), realloc.BlockStoreTelemetry(reg))
 		if err != nil {
 			b.Fatal(err)
 		}
-		benchBlockChurn(b, s)
+		benchBlockChurn(b, s, reg)
 	})
 	b.Run("wal", func(b *testing.B) {
-		s, err := realloc.NewBlockStore(realloc.BlockStoreDir(b.TempDir()))
+		reg := telemetry.NewRegistry()
+		s, err := realloc.NewBlockStore(realloc.BlockStoreDir(b.TempDir()), realloc.BlockStoreTelemetry(reg))
 		if err != nil {
 			b.Fatal(err)
 		}
 		defer s.Close()
-		benchBlockChurn(b, s)
+		benchBlockChurn(b, s, reg)
 	})
 }
 

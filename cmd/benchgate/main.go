@@ -58,8 +58,9 @@
 // group-fsync per checkpoint) must stay within -maxDurableOverhead
 // (default 40) of the heap lane over identical churn, and one full WAL
 // replay of the 1e5-record log (BenchmarkWALReplay/ops=100000) must
-// finish within -maxReplayMs (default 500). Each lane's checkpoints per
-// op (its ckpt/op metric) go into the record beside its ns/op:
+// finish within -maxReplayMs (default 500). Each lane's checkpoints and
+// WAL fsyncs per op (its ckpt/op and fsync/op metrics) go into the
+// record beside its ns/op:
 //
 //	go test -run '^$' -bench 'BenchmarkDurableChurn|BenchmarkWALReplay' \
 //	    -benchtime 1s . | \
@@ -436,10 +437,10 @@ func runBytes(results []benchfmt.Result, family string, maxRatio float64, out st
 // heap lane (in-memory arena, real memmoves) and a wal lane (the same
 // churn in durable mode — WAL appends per placement, arena sync plus
 // group-fsync per checkpoint); their ns/op ratio must stay within
-// maxRatio, and each lane's ckpt/op metric is recorded beside its
-// ns/op. The replay result is one full wal.Open rebuild of a
+// maxRatio, and each lane's ckpt/op and fsync/op metrics are recorded
+// beside its ns/op. The replay result is one full wal.Open rebuild of a
 // 1e5-record log and must finish within maxReplayMs. Either half, or a
-// lane's ckpt/op, missing fails the gate.
+// lane's ckpt/op or fsync/op, missing fails the gate.
 func runDurable(results []benchfmt.Result, family, replay string, maxRatio, maxReplayMs float64, out string) int {
 	findings := map[string]float64{}
 	bad := false
@@ -454,13 +455,15 @@ func runDurable(results []benchfmt.Result, family, replay string, maxRatio, maxR
 		findings["churn/ns_per_op_heap"] = heapNs
 		findings["churn/ns_per_op_wal"] = walNs
 		for _, lane := range []string{"heap", "wal"} {
-			v, err := benchfmt.Metric(results, family+"/"+lane, "ckpt/op")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-				bad = true
-				continue
+			for _, m := range [][2]string{{"ckpt/op", "ckpt_per_op"}, {"fsync/op", "fsync_per_op"}} {
+				v, err := benchfmt.Metric(results, family+"/"+lane, m[0])
+				if err != nil {
+					fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
+					bad = true
+					continue
+				}
+				findings["churn/"+m[1]+"_"+lane] = v
 			}
-			findings["churn/ckpt_per_op_"+lane] = v
 		}
 		findings["churn/durable_ratio"] = ratio
 		findings["churn/durable_limit"] = maxRatio

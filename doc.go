@@ -113,11 +113,12 @@
 // every durable block's bytes at its checkpointed extent.
 //
 // BlockStoreDir takes that contract to real media: the store keeps a
-// file-backed (mmap where available) payload arena synced at every
-// checkpoint plus a crc64-framed write-ahead log of every placement,
-// and OpenBlockStore recovers a directory by replaying the log to the
-// last durable checkpoint — truncating any torn tail — and verifying
-// each surviving block's checksum against the arena image:
+// file-backed payload arena, whose changed pages are written back and
+// fsynced at every checkpoint, plus a crc64-framed write-ahead log of
+// every placement, and OpenBlockStore recovers a directory by replaying
+// the log to the last durable checkpoint — truncating any torn tail —
+// and verifying each surviving block's checksum against the arena
+// image:
 //
 //	s, _ := realloc.NewBlockStore(realloc.BlockStoreDir(dir))
 //	s.Put("root", pageBytes)

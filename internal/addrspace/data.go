@@ -35,7 +35,7 @@ func (s *Space) WriteData(id ID, p []byte) error {
 	if int64(len(p)) > ext.Size {
 		return fmt.Errorf("addrspace: write of %d bytes into object %d of size %d", len(p), id, ext.Size)
 	}
-	copy(s.data.Bytes(ext.Start, int64(len(p))), p)
+	s.data.Write(ext.Start, p)
 	return nil
 }
 

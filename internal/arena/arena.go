@@ -25,7 +25,7 @@ import (
 )
 
 // ErrClosed is the use-after-Close sentinel. Payload access on a
-// closed backend panics with this value (Copy and Bytes sit on the
+// closed backend panics with this value (Copy, Write and Bytes sit on the
 // relocation hot path and have no error returns — a closed arena there
 // is a lifecycle bug, and a sentinel panic beats the opaque nil-index
 // or SIGSEGV it would otherwise decay to); Sync, which is on an error
@@ -46,9 +46,10 @@ const (
 	// Mmap backs the address space with an anonymous memory mapping
 	// (falling back to the heap on platforms without mmap).
 	Mmap
-	// File backs the address space with a named, file-backed mapping
-	// that Sync flushes to media (msync + fsync). A File backend needs
-	// a path: construct it with Create, Open, or FromFile, not New.
+	// File backs the address space with a heap mirror of a named file;
+	// Sync writes the pages changed since the last Sync back to the file
+	// and fsyncs it. A File backend needs a file: construct it with
+	// Create, Open, or FromFile, not New.
 	File
 )
 
@@ -94,8 +95,10 @@ type Counters struct {
 //
 // Growth never fails softly: a real backend that cannot obtain memory
 // panics (address-space exhaustion is not recoverable for an arena),
-// which keeps Copy and Bytes off the error paths of the relocation hot
-// loops.
+// which keeps Copy, Write and Bytes off the error paths of the
+// relocation hot loops. The file backend grows only its memory mirror
+// there; the file itself grows in Sync, which returns a full or
+// failing disk as an error.
 type Backend interface {
 	// Kind reports the implementation.
 	Kind() Kind
@@ -108,19 +111,27 @@ type Backend interface {
 	// (overlap between source and destination is fine), growing the
 	// store as needed, and counts the move.
 	Copy(dst, src, size int64)
+	// Write copies p to [start, start+len(p)), growing the store as
+	// needed. It is the only way to store payload bytes: the file
+	// backend records the range as changed so the next Sync writes it
+	// back. A no-op on backends that are not Real.
+	Write(start int64, p []byte)
 	// Bytes returns the live byte slice for [start, start+size),
 	// growing the store as needed. The slice aliases backend memory
 	// and is invalidated by the next operation that can grow or
-	// relocate the store. Nil for backends that are not Real.
+	// relocate the store. It is a read view: a store through it is not
+	// tracked, so on the file backend it may never reach the file. Nil
+	// for backends that are not Real.
 	Bytes(start, size int64) []byte
 	// Counters returns the cumulative cost accounting.
 	Counters() Counters
 	// SetTiming arms (or disarms) CopyNanos recording. Off by default:
 	// an untimed Copy never reads a clock.
 	SetTiming(on bool)
-	// Sync flushes payload bytes to durable media: msync + fsync for
-	// the file backend, a no-op nil for memory-only backends. After
-	// Close it returns ErrClosed.
+	// Sync flushes payload bytes to durable media: for the file
+	// backend, a write-back of the pages changed since the last
+	// successful Sync followed by one fsync; a no-op nil for
+	// memory-only backends. After Close it returns ErrClosed.
 	Sync() error
 	// Close releases backend resources. Close is idempotent; any other
 	// use of a closed backend fails fast — payload access panics with
@@ -163,6 +174,11 @@ func (m *metered) Copy(dst, src, size int64) {
 	}
 	m.c.BytesMoved += size
 	m.c.Copies++
+}
+func (m *metered) Write(int64, []byte) {
+	if m.closed {
+		panic(ErrClosed)
+	}
 }
 func (m *metered) Bytes(start, size int64) []byte {
 	if m.closed {
@@ -224,6 +240,10 @@ func (h *heap) Copy(dst, src, size int64) {
 	}
 	h.c.BytesMoved += size
 	h.c.Copies++
+}
+
+func (h *heap) Write(start int64, p []byte) {
+	copy(h.Bytes(start, int64(len(p))), p)
 }
 
 func (h *heap) Bytes(start, size int64) []byte {

@@ -56,7 +56,7 @@ func TestCopyCounting(t *testing.T) {
 	}
 }
 
-// TestPayloadRoundTrip: bytes written through Bytes survive a chain of
+// TestPayloadRoundTrip: bytes stored with Write survive a chain of
 // copies, including self-overlapping ones (memmove semantics).
 func TestPayloadRoundTrip(t *testing.T) {
 	for name, b := range backends(t) {
@@ -68,7 +68,7 @@ func TestPayloadRoundTrip(t *testing.T) {
 		}
 		payload := []byte("cost-oblivious")
 		n := int64(len(payload))
-		copy(b.Bytes(10, n), payload)
+		b.Write(10, payload)
 		b.Copy(500, 10, n)  // disjoint move
 		b.Copy(495, 500, n) // overlap left by 5
 		b.Copy(499, 495, n) // overlap right by 4
@@ -88,12 +88,12 @@ func TestGrowthPreservesPrefix(t *testing.T) {
 		if !b.Real() {
 			continue
 		}
-		copy(b.Bytes(0, 4), "abcd")
+		b.Write(0, []byte("abcd"))
 		b.Ensure(1 << 20) // force at least one growth step
 		if got := b.Bytes(0, 4); !bytes.Equal(got, []byte("abcd")) {
 			t.Errorf("%s: growth lost prefix: %q", name, got)
 		}
-		copy(b.Bytes(1<<20-2, 2), "zz")
+		b.Write(1<<20-2, []byte("zz"))
 		if got := b.Bytes(1<<20-2, 2); !bytes.Equal(got, []byte("zz")) {
 			t.Errorf("%s: high write lost: %q", name, got)
 		}
@@ -132,6 +132,7 @@ func TestErrClosed(t *testing.T) {
 		for op, fn := range map[string]func(){
 			"Ensure": func() { b.Ensure(8) },
 			"Copy":   func() { b.Copy(8, 0, 8) },
+			"Write":  func() { b.Write(0, make([]byte, 8)) },
 			"Bytes":  func() { b.Bytes(0, 8) },
 		} {
 			func() {
@@ -176,7 +177,7 @@ func TestFilePersistence(t *testing.T) {
 	}
 	payload := []byte("durable payload bytes")
 	n := int64(len(payload))
-	copy(b.Bytes(100, n), payload)
+	b.Write(100, payload)
 	b.Copy(5000, 100, n) // cross-page move, forces growth
 	if err := b.Sync(); err != nil {
 		t.Fatalf("Sync: %v", err)
@@ -198,17 +199,18 @@ func TestFilePersistence(t *testing.T) {
 	}
 }
 
-// TestFileGrowthPreservesAcrossReopen: growth remaps the file; written
-// bytes on both sides of the remap must survive a sync/reopen cycle.
+// TestFileGrowthPreservesAcrossReopen: growth extends the file at the
+// next Sync; written bytes on both sides of the old end must survive a
+// sync/reopen cycle.
 func TestFileGrowthPreservesAcrossReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "arena.img")
 	b, err := Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	copy(b.Bytes(0, 4), "abcd")
+	b.Write(0, []byte("abcd"))
 	b.Ensure(1 << 20)
-	copy(b.Bytes(1<<20-2, 2), "zz")
+	b.Write(1<<20-2, []byte("zz"))
 	if err := b.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -244,11 +246,11 @@ func TestFromFileOverMemFS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	copy(b.Bytes(0, 6), "synced")
+	b.Write(0, []byte("synced"))
 	if err := b.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	copy(b.Bytes(6, 8), "volatile")
+	b.Write(6, []byte("volatile"))
 
 	fs.Crash()
 	f2, err := fs.OpenFile("arena")

@@ -89,6 +89,10 @@ func (a *mmapArena) Copy(dst, src, size int64) {
 	a.c.Copies++
 }
 
+func (a *mmapArena) Write(start int64, p []byte) {
+	copy(a.Bytes(start, int64(len(p))), p)
+}
+
 func (a *mmapArena) Bytes(start, size int64) []byte {
 	a.Ensure(start + size)
 	return a.mem[start : start+size : start+size]

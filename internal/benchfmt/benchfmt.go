@@ -45,11 +45,15 @@ type Manifest struct {
 	GOOS       string `json:"goos"`
 	GOARCH     string `json:"goarch"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
+	// Dirty marks figures taken on a working tree with uncommitted
+	// changes to tracked files: GitSHA names their parent, not them.
+	Dirty bool `json:"dirty,omitempty"`
 }
 
 // CurrentManifest captures the running process's environment. The commit
-// comes from GITHUB_SHA (set by CI) or, failing that, from git itself;
-// records written outside a repository simply omit it.
+// comes from GITHUB_SHA (set by CI) or, failing that, from git itself,
+// which also reports whether tracked files differ from it; records
+// written outside a repository simply omit it.
 func CurrentManifest() Manifest {
 	m := Manifest{
 		GoVersion:  runtime.Version(),
@@ -63,8 +67,23 @@ func CurrentManifest() Manifest {
 	}
 	if out, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
 		m.GitSHA = strings.TrimSpace(string(out))
+		if st, err := exec.Command("git", "status", "--porcelain").Output(); err == nil {
+			m.Dirty = trackedChanges(string(st))
+		}
 	}
 	return m
+}
+
+// trackedChanges reports whether `git status --porcelain` output lists a
+// change to a tracked file: any entry but untracked (??) and ignored
+// (!!) ones.
+func trackedChanges(porcelain string) bool {
+	for _, line := range strings.Split(porcelain, "\n") {
+		if len(line) >= 2 && !strings.HasPrefix(line, "??") && !strings.HasPrefix(line, "!!") {
+			return true
+		}
+	}
+	return false
 }
 
 // Result is one parsed benchmark result line.

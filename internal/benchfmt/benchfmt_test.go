@@ -138,3 +138,26 @@ func TestCurrentManifest(t *testing.T) {
 		t.Fatalf("incomplete manifest: %+v", m)
 	}
 }
+
+// TestTrackedChanges: only entries for tracked files mark a tree dirty;
+// untracked and ignored files do not.
+func TestTrackedChanges(t *testing.T) {
+	for _, c := range []struct {
+		porcelain string
+		dirty     bool
+	}{
+		{"", false},
+		{"?? scratch.txt\n", false},
+		{"?? a\n!! .bench_build/\n", false},
+		{" M internal/arena/file.go\n", true},
+		{"M  README.md\n", true},
+		{"?? new.go\n D old.go\n", true},
+		{"R  a.go -> b.go\n", true},
+		{"A  added.go", true},
+		{"UU conflict.go\n", true},
+	} {
+		if got := trackedChanges(c.porcelain); got != c.dirty {
+			t.Errorf("trackedChanges(%q) = %v, want %v", c.porcelain, got, c.dirty)
+		}
+	}
+}

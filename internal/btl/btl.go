@@ -81,7 +81,6 @@ type Store struct {
 	// Durable-mode machinery (see durable.go); all zero for in-memory
 	// stores.
 	fs    faultfs.FS
-	dir   string // non-empty selects the mmap file arena over real files
 	data  arena.Backend
 	walF  faultfs.File
 	w     *wal.Writer
@@ -225,7 +224,6 @@ func newShell(cfg Config) (*Store, error) {
 		s.backend = arena.File
 	} else if cfg.Dir != "" {
 		s.fs = faultfs.OS{Dir: cfg.Dir}
-		s.dir = cfg.Dir
 		s.backend = arena.File
 	} else {
 		s.durable = make(map[addrspace.ID]blockMeta)
@@ -441,7 +439,8 @@ func (s *Store) Checkpoint() {
 // checkpoint, whose extents are still intact in the newer arena image:
 // the substrate's checkpoint rule kept every extent of checkpoint N
 // byte-identical until the N+1 event, so an arena image taken at the
-// N+1 instant (even a torn prefix of one) still verifies at N.
+// N+1 instant (even one whose page write-back stopped partway) still
+// verifies at N.
 func (s *Store) snapshot() {
 	s.checkpoints++
 	s.fold()

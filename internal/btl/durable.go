@@ -56,27 +56,18 @@ func Open(cfg Config) (*Store, RecoveryReport, error) {
 	return s, rep, nil
 }
 
-// newArenaBackend opens the payload arena for the current generation:
-// the mmap-backed file arena over a real directory, or the plain-I/O
-// arena over the injectable FS.
-func (s *Store) newArenaBackend(fresh bool) (arena.Backend, error) {
-	name := arenaFileName(s.gen)
-	if s.dir != "" {
-		path := s.dir + "/" + name
-		if fresh {
-			return arena.Create(path)
-		}
-		return arena.Open(path)
-	}
-	f, err := s.fs.OpenFile(name)
+// newArenaBackend creates an empty payload arena for the current
+// generation: the file arena over the store's FS, which is faultfs.OS
+// for a real directory, so production and the crash harness run the
+// same backend.
+func (s *Store) newArenaBackend() (arena.Backend, error) {
+	f, err := s.fs.OpenFile(arenaFileName(s.gen))
 	if err != nil {
 		return nil, err
 	}
-	if fresh {
-		if err := f.Truncate(0); err != nil {
-			f.Close()
-			return nil, err
-		}
+	if err := f.Truncate(0); err != nil {
+		f.Close()
+		return nil, err
 	}
 	return arena.FromFile(f)
 }
@@ -93,7 +84,7 @@ func (s *Store) freshMedia() (arena.Backend, error) {
 		return nil, err
 	}
 	s.gen = 1
-	data, err := s.newArenaBackend(true)
+	data, err := s.newArenaBackend()
 	if err != nil {
 		walF.Close()
 		return nil, err
@@ -222,7 +213,7 @@ func (s *Store) recoverFromMedia() (RecoveryReport, error) {
 
 	// Rebuild into the next generation; the old image stays untouched
 	// until the checkpoint below makes the new one authoritative.
-	data, err := s.newArenaBackend(true)
+	data, err := s.newArenaBackend()
 	if err != nil {
 		return rep, fmt.Errorf("btl: create arena generation %d: %w", s.gen, err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"syscall"
 	"testing"
 
 	"realloc/internal/faultfs"
@@ -275,7 +276,7 @@ func TestDurableStickyIOError(t *testing.T) {
 	if err := s.Put("a", payload("a", 8)); err != nil {
 		t.Fatal(err) // Put only buffers WAL records; no write happens yet
 	}
-	s.Checkpoint() // arena sync persists nothing to fault (sync path), WAL flush hits the fault
+	s.Checkpoint() // the first media write, the arena write-back, hits the fault
 	if s.Err() == nil {
 		t.Fatal("checkpoint over wedged media must latch an error")
 	}
@@ -319,4 +320,90 @@ func TestDurableDeamortizedVariant(t *testing.T) {
 		t.Fatalf("recovered %d", rep.Recovered)
 	}
 	_ = s2.Close()
+}
+
+// TestDurableNoSpace: a full disk under a checkpoint is an error, not a
+// panic. Every write of one explicit checkpoint (arena page write-back,
+// then the WAL flush) is failed with ENOSPC in turn; the store latches
+// the error, and a store opened on the same media recovers the previous
+// durable checkpoint with every payload verified.
+func TestDurableNoSpace(t *testing.T) {
+	// phase1 is made durable by an explicit checkpoint; phase2 changes
+	// the set, and its checkpoint is the one that meets the full disk.
+	phase1 := map[string][]byte{}
+	for i := 0; i < 64; i++ {
+		name := fmt.Sprintf("blk%02d", i)
+		phase1[name] = payload(name, 100+i*173)
+	}
+	run := func(inj *faultfs.Injector) (s *Store, fs *faultfs.MemFS, before int) {
+		t.Helper()
+		fs = faultfs.NewMemFS(inj)
+		s, err := New(Config{FS: fs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 64; i++ {
+			name := fmt.Sprintf("blk%02d", i)
+			if err := s.Put(name, phase1[name]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.Checkpoint()
+		if err := s.Err(); err != nil {
+			t.Fatal(err)
+		}
+		ckpts := s.Checkpoints()
+		for i := 0; i < 6; i++ {
+			if err := s.Drop(fmt.Sprintf("blk%02d", 3*i)); err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("new%02d", i)
+			if err := s.Put(name, payload(name, 50+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if s.Checkpoints() != ckpts {
+			t.Fatal("phase 2 forced a checkpoint; the expected durable state would be ambiguous")
+		}
+		before = inj.Writes()
+		s.Checkpoint()
+		return s, fs, before
+	}
+
+	// Dry run: how many writes the faulted checkpoint issues.
+	probe := &faultfs.Injector{}
+	s, _, before := run(probe)
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
+	}
+	writes := probe.Writes() - before
+	if writes < 2 {
+		t.Fatalf("checkpoint issued %d writes; want arena pages and the WAL flush", writes)
+	}
+	_ = s.Close()
+
+	for k := 1; k <= writes; k++ {
+		s, fs, _ := run(faultfs.NewInjector(faultfs.Fault{Kind: faultfs.NoSpace, N: before + k}))
+		if err := s.Err(); !errors.Is(err, syscall.ENOSPC) {
+			t.Fatalf("write %d of the checkpoint: Err() = %v, want ENOSPC", k, err)
+		}
+		_ = s.Close()
+		r, rep, err := Open(Config{FS: fs})
+		if err != nil {
+			t.Fatalf("write %d: reopen: %v", k, err)
+		}
+		if rep.Recovered != len(phase1) || r.Len() != len(phase1) {
+			t.Fatalf("write %d: recovered %d blocks (Len %d), want %d", k, rep.Recovered, r.Len(), len(phase1))
+		}
+		for name, data := range phase1 {
+			got, err := r.Get(name)
+			if err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("write %d: block %q after recovery: %v", k, name, err)
+			}
+		}
+		if err := r.CheckInvariants(); err != nil {
+			t.Fatalf("write %d: %v", k, err)
+		}
+		_ = r.Close()
+	}
 }

@@ -22,7 +22,10 @@
 //     dropped too. This global semantics is what makes the fault
 //     survivable: the durable image can never run ahead of the lie.
 //   - transient EIO: the Nth write fails once with syscall.EIO and
-//     succeeds when retried (the writer above owns retry/backoff).
+//     succeeds when retried (the writer above owns retry/backoff);
+//   - no space: the Nth write fails with syscall.ENOSPC and writes
+//     nothing. Writers do not retry it: the store must surface it as
+//     an error and stay recoverable.
 //
 // Write and sync counters are global across a MemFS's files, so a plan
 // addresses the interleaved stream the store actually emits, and plans
@@ -138,6 +141,9 @@ const (
 	// TransientEIO fails the Nth global write once with syscall.EIO;
 	// the retried write proceeds normally.
 	TransientEIO
+	// NoSpace fails the Nth global write with syscall.ENOSPC; nothing
+	// of it lands and the fs is not wedged.
+	NoSpace
 )
 
 func (k FaultKind) String() string {
@@ -150,6 +156,8 @@ func (k FaultKind) String() string {
 		return "dropSync"
 	case TransientEIO:
 		return "transientEIO"
+	case NoSpace:
+		return "noSpace"
 	default:
 		return "unknown"
 	}
@@ -160,7 +168,7 @@ func (k FaultKind) String() string {
 type Fault struct {
 	Kind FaultKind
 	// N is the 1-based global ordinal (write ordinal for CrashAtWrite,
-	// TornWrite, TransientEIO; sync ordinal for DropSync).
+	// TornWrite, TransientEIO, NoSpace; sync ordinal for DropSync).
 	N int
 	// TearBytes is how many leading bytes of the faulted write persist
 	// (TornWrite only); clamped to the write's length.
@@ -213,6 +221,7 @@ const (
 	writeCrash
 	writeTorn
 	writeEIO
+	writeNoSpace
 	writeWedged
 )
 
@@ -250,6 +259,9 @@ func (in *Injector) onWrite() (writeDecision, int64) {
 			f.N = -1
 			in.fired++
 			return writeEIO, 0
+		case NoSpace:
+			in.fired++
+			return writeNoSpace, 0
 		}
 	}
 	return writeOK, 0
@@ -439,6 +451,9 @@ func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
 	case writeEIO:
 		f.fs.mu.Unlock()
 		return 0, syscall.EIO
+	case writeNoSpace:
+		f.fs.mu.Unlock()
+		return 0, syscall.ENOSPC
 	case writeTorn:
 		if tear > int64(len(p)) {
 			tear = int64(len(p))

@@ -238,3 +238,27 @@ func TestOSRoundTrip(t *testing.T) {
 		t.Fatalf("file not removed: %v", err)
 	}
 }
+
+func TestInjectorNoSpace(t *testing.T) {
+	fs := NewMemFS(NewInjector(Fault{Kind: NoSpace, N: 2}))
+	f, _ := fs.OpenFile("a")
+	if _, err := f.WriteAt([]byte("x"), 0); err != nil {
+		t.Fatalf("first write: %v", err)
+	}
+	if _, err := f.WriteAt([]byte("yy"), 1); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("second write: %v, want ENOSPC", err)
+	}
+	// Nothing of the failed write landed, and the fs is not wedged.
+	if sz, err := f.Size(); err != nil || sz != 1 {
+		t.Fatalf("size after ENOSPC = %d, %v; want 1", sz, err)
+	}
+	if fs.Injector().Wedged() {
+		t.Fatal("ENOSPC wedged the fs")
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatalf("sync after ENOSPC: %v", err)
+	}
+	if got := fs.Injector().Fired(); got != 1 {
+		t.Fatalf("fired %d faults, want 1", got)
+	}
+}

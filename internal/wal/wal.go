@@ -13,12 +13,13 @@
 // relocated it), delete, and checkpoint (the durability barrier of the
 // paper's model — the instant the translation map is durable).
 //
-// Replay rebuilds the translation table by applying records in order
-// and snapshotting it at each checkpoint marker; the result is the
-// table at the LAST durable checkpoint. Records after that marker are
-// the tail: work the store did but never made durable, reported for
-// observability and otherwise ignored — exactly the blocks the paper
-// says a crash loses.
+// Replay rebuilds the translation table by applying records in order,
+// keeping an undo log of the entries changed since the last checkpoint
+// marker; rolling that log back at the end yields the table at the LAST
+// durable checkpoint, in time linear in the records scanned. Records
+// after that marker are the tail: work the store did but never made
+// durable, reported for observability and otherwise ignored — exactly
+// the blocks the paper says a crash loses.
 //
 // The Writer buffers appends and group-fsyncs: WriteAt batches land in
 // the OS (or the fault model's volatile image) per Flush, and Sync is
@@ -374,6 +375,15 @@ func Open(f faultfs.File) (*Replay, error) {
 
 	rep := &Replay{}
 	cur := map[uint64]Block{}
+	// undo holds, per record applied since the last checkpoint marker,
+	// the entry it replaced; rolling it back in reverse order restores
+	// the table as of that marker.
+	type undoEntry struct {
+		id  uint64
+		old Block
+		had bool
+	}
+	var undo []undoEntry
 	var off int64
 scan:
 	for off < size {
@@ -395,17 +405,22 @@ scan:
 		}
 		switch r.Kind {
 		case KInsert:
+			old, had := cur[r.ID]
+			undo = append(undo, undoEntry{r.ID, old, had})
 			cur[r.ID] = Block{Name: r.Name, Start: r.Start, Size: r.Size, Sum: r.Sum, HasSum: r.HasSum}
 		case KDelete:
-			if _, ok := cur[r.ID]; !ok {
+			b, ok := cur[r.ID]
+			if !ok {
 				break scan // semantic corruption: delete of an unknown id
 			}
+			undo = append(undo, undoEntry{r.ID, b, true})
 			delete(cur, r.ID)
 		case KMove:
 			b, ok := cur[r.ID]
 			if !ok {
 				break scan // semantic corruption: move of an unknown id
 			}
+			undo = append(undo, undoEntry{r.ID, b, true})
 			b.Start = r.Start
 			cur[r.ID] = b
 		case KSum:
@@ -413,14 +428,11 @@ scan:
 			if !ok {
 				break scan // semantic corruption: sum for an unknown id
 			}
+			undo = append(undo, undoEntry{r.ID, b, true})
 			b.Sum, b.HasSum = r.Sum, true
 			cur[r.ID] = b
 		case KCheckpoint:
-			snap := make(map[uint64]Block, len(cur))
-			for id, b := range cur {
-				snap[id] = b
-			}
-			rep.Blocks = snap
+			undo = undo[:0]
 			rep.Seq = r.Seq
 			rep.CkptID = r.ID
 			rep.CkptEnd = off + headerSize + plen
@@ -430,6 +442,16 @@ scan:
 		rep.Frames++
 		rep.Tail++
 		off += headerSize + plen
+	}
+	if rep.Checkpoints > 0 {
+		for i := len(undo) - 1; i >= 0; i-- {
+			if u := undo[i]; u.had {
+				cur[u.id] = u.old
+			} else {
+				delete(cur, u.id)
+			}
+		}
+		rep.Blocks = cur
 	}
 	rep.CleanLen = off
 	rep.Truncated = size - off
